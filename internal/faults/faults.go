@@ -203,10 +203,14 @@ type Injector struct {
 	retry RetryPolicy
 	rng   *rand.Rand
 
-	tapeFailAt  []float64      // per-tape permanent failure time (+Inf = never)
-	driveFailAt []float64      // per-drive next failure time (+Inf = never)
-	bad         map[int64]bool // packed (tape,pos) of permanently dead copies
-	badInjected int            // bad blocks placed at initialization
+	tapeFailAt  []float64 // per-tape permanent failure time (+Inf = never)
+	driveFailAt []float64 // per-drive next failure time (+Inf = never)
+	// bad is the dense bitset of permanently dead copies: bit p%64 of word
+	// t*badStride+p/64 is set when (t, p) is dead. nil until the first dead
+	// position appears, so fault models without bad blocks never pay for it.
+	bad         []uint64
+	badStride   int
+	badInjected int // bad blocks placed at initialization
 	tapeCap     int
 
 	latent  map[int64]float64 // packed (tape,pos) -> latent-error onset time
@@ -238,11 +242,11 @@ func New(cfg Config, tapes, drives, tapeCapBlocks int) (*Injector, error) {
 		cfg.DriveRepairSec = 3600
 	}
 	inj := &Injector{
-		cfg:     cfg,
-		retry:   cfg.Retry.withDefaults(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		bad:     make(map[int64]bool),
-		tapeCap: tapeCapBlocks,
+		cfg:       cfg,
+		retry:     cfg.Retry.withDefaults(),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		badStride: (tapeCapBlocks + 63) / 64,
+		tapeCap:   tapeCapBlocks,
 	}
 	inj.tapeFailAt = make([]float64, tapes)
 	for t := range inj.tapeFailAt {
@@ -264,9 +268,8 @@ func New(cfg Config, tapes, drives, tapeCapBlocks int) (*Injector, error) {
 				start := inj.rng.Intn(tapeCapBlocks)
 				length := 1 + inj.rng.Intn(cfg.BadBlockRangeLen)
 				for p := start; p < start+length && p < tapeCapBlocks; p++ {
-					key := packCopy(t, p)
-					if !inj.bad[key] {
-						inj.bad[key] = true
+					if !inj.CopyDead(t, p) {
+						inj.MarkDead(t, p)
 						inj.badInjected++
 					}
 				}
@@ -288,7 +291,7 @@ func New(cfg Config, tapes, drives, tapeCapBlocks int) (*Injector, error) {
 				onset := inj.rng.ExpFloat64() * inj.cfg.LatentMeanOnsetSec
 				for p := start; p < start+length && p < tapeCapBlocks; p++ {
 					key := packCopy(t, p)
-					if inj.bad[key] {
+					if inj.CopyDead(t, p) {
 						continue // already dead at birth: nothing latent about it
 					}
 					if prev, dup := inj.latent[key]; dup {
@@ -360,17 +363,27 @@ func (i *Injector) FailedTapes(now float64) int {
 // CopyDead reports whether the physical copy at (tape, pos) is permanently
 // unreadable: inside an injected bad-block range or escalated after retry
 // exhaustion. It does not account for whole-tape failures (see TapeFailed).
+// Positions outside the jukebox are never dead.
 func (i *Injector) CopyDead(tape, pos int) bool {
-	if len(i.bad) == 0 {
+	if i.bad == nil || tape < 0 || tape >= len(i.tapeFailAt) || pos < 0 || pos >= i.tapeCap {
 		return false
 	}
-	return i.bad[packCopy(tape, pos)]
+	return i.bad[tape*i.badStride+pos/64]&(1<<uint(pos%64)) != 0
 }
 
 // MarkDead escalates the copy at (tape, pos) to permanently unreadable
-// (retry exhaustion, or a latent error's first detected read).
+// (retry exhaustion, or a latent error's first detected read). Dead
+// positions are never revived: CopyDead only ever turns from false to
+// true, which consumers such as the repair planner rely on. Positions
+// outside the jukebox are ignored.
 func (i *Injector) MarkDead(tape, pos int) {
-	i.bad[packCopy(tape, pos)] = true
+	if tape < 0 || tape >= len(i.tapeFailAt) || pos < 0 || pos >= i.tapeCap {
+		return
+	}
+	if i.bad == nil {
+		i.bad = make([]uint64, len(i.tapeFailAt)*i.badStride)
+	}
+	i.bad[tape*i.badStride+pos/64] |= 1 << uint(pos%64)
 }
 
 // InjectedLatentErrors returns the number of latent bad-block positions
@@ -389,9 +402,8 @@ func (i *Injector) LatentActive(tape, pos int, now float64) bool {
 	if len(i.latent) == 0 {
 		return false
 	}
-	key := packCopy(tape, pos)
-	onset, ok := i.latent[key]
-	return ok && now >= onset && !i.bad[key]
+	onset, ok := i.latent[packCopy(tape, pos)]
+	return ok && now >= onset && !i.CopyDead(tape, pos)
 }
 
 // LatentOnset returns the onset time of the latent error at (tape, pos),

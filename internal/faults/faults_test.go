@@ -146,6 +146,39 @@ func TestMarkDeadEscalation(t *testing.T) {
 	}
 }
 
+// TestDeadSetLazyAndBounded: an injector without bad blocks holds no dead
+// set until the first escalation; positions outside the jukebox are never
+// dead, and marking one changes nothing (no neighbouring bit flips).
+func TestDeadSetLazyAndBounded(t *testing.T) {
+	inj, err := New(Config{ReadTransientProb: 0.1, TapeMTBFSec: 1e6}, 3, 1, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj.bad != nil {
+		t.Fatal("dead set allocated without any dead position")
+	}
+	for _, c := range [][2]int{{-1, 0}, {3, 0}, {0, -1}, {0, 70}, {2, 127}} {
+		inj.MarkDead(c[0], c[1])
+		if inj.CopyDead(c[0], c[1]) {
+			t.Errorf("out-of-range position %v reads dead", c)
+		}
+	}
+	if inj.bad != nil {
+		t.Fatal("out-of-range MarkDead allocated the dead set")
+	}
+	inj.MarkDead(2, 69)
+	for tp := 0; tp < 3; tp++ {
+		for p := 0; p < 70; p++ {
+			if got, want := inj.CopyDead(tp, p), tp == 2 && p == 69; got != want {
+				t.Errorf("CopyDead(%d,%d) = %v, want %v", tp, p, got, want)
+			}
+		}
+	}
+	if inj.CopyDead(2, 70) || inj.CopyDead(3, 5) {
+		t.Error("a position past the jukebox reads dead")
+	}
+}
+
 func TestBadBlockPlacement(t *testing.T) {
 	inj, err := New(Config{BadBlocksPerTape: 2, BadBlockRangeLen: 3, Seed: 7}, 8, 1, 200)
 	if err != nil {

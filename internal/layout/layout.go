@@ -89,6 +89,12 @@ type Layout struct {
 	// order: the per-tape candidate table consumed by schedulers that need
 	// position-sorted traversal without re-sorting per call.
 	tapeSlots [][]Slot
+	// free is the per-tape free-position bitmap: bit p%64 of word
+	// t*FreeStride()+p/64 is set when position p of tape t holds no copy.
+	// Only free-space searches (FirstFree, FreeWords) need it, so it is
+	// built on their first call and kept current by AddCopy and
+	// RemoveCopy from then on; layouts no one searches never allocate it.
+	free []uint64
 }
 
 // Slot is one occupied position on a tape.
@@ -472,6 +478,29 @@ func (l *Layout) Validate() error {
 			}
 			if _, ok := seen[Replica{Tape: t, Pos: p}]; !ok {
 				return fmt.Errorf("position (%d,%d) holds block %d but no copy claims it", t, p, b)
+			}
+		}
+	}
+	// Once built, the free bitmap must mirror blockAt exactly, with the
+	// padding bits past the tape's end clear.
+	if l.free != nil {
+		stride := l.FreeStride()
+		for t, row := range l.blockAt {
+			words := l.free[t*stride : (t+1)*stride]
+			for i, w := range words {
+				for bit := 0; bit < 64; bit++ {
+					p := i*64 + bit
+					set := w&(1<<uint(bit)) != 0
+					if p >= len(row) {
+						if set {
+							return fmt.Errorf("free bitmap of tape %d marks position %d past the tape's end", t, p)
+						}
+						continue
+					}
+					if set != (row[p] == -1) {
+						return fmt.Errorf("free bitmap of tape %d says free=%v at position %d, blockAt holds %d", t, set, p, row[p])
+					}
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -9,8 +10,9 @@ import (
 // NewManual is normally immutable; the repair subsystem (internal/repair)
 // rebuilds lost replicas and reclaims cold excess ones at run time, which
 // requires adding and removing copies in place while keeping every derived
-// index -- the copies lists, the blockAt grid, the dense posOn index, and
-// the sorted per-tape slot tables -- consistent. Both mutators flip the
+// index -- the copies lists, the blockAt grid, the dense posOn index, the
+// sorted per-tape slot tables and, once built, the free bitmap --
+// consistent. Both mutators flip the
 // `mutated` flag, which relaxes Validate's exact copy-count check (a
 // repaired layout legitimately differs from its build-time replica counts)
 // while every structural invariant still holds.
@@ -23,12 +25,55 @@ func (l *Layout) FreeBlocks(t int) int {
 	return l.cfg.TapeCapBlocks - len(l.tapeSlots[t])
 }
 
+// FreeStride returns the number of 64-bit words per tape in the free
+// bitmap FreeWords exposes.
+func (l *Layout) FreeStride() int { return (l.cfg.TapeCapBlocks + 63) / 64 }
+
+// FreeWords returns tape t's free-position bitmap: bit p%64 of word p/64
+// is set when position p holds no copy; bits past the tape's end are
+// clear. The bitmap is built on the first call for any tape and then kept
+// current by AddCopy and RemoveCopy, so -- like those mutators -- the
+// first call needs exclusive access to the layout. The returned slice is
+// the layout's own and must not be modified.
+func (l *Layout) FreeWords(t int) []uint64 {
+	stride := l.FreeStride()
+	if l.free == nil {
+		l.free = make([]uint64, l.cfg.Tapes*stride)
+		for tape, row := range l.blockAt {
+			for p, b := range row {
+				if b == -1 {
+					l.free[tape*stride+p/64] |= 1 << uint(p%64)
+				}
+			}
+		}
+	}
+	return l.free[t*stride : (t+1)*stride]
+}
+
+// setFree updates the free bitmap, if built, for position (t, p).
+func (l *Layout) setFree(t, p int, free bool) {
+	if l.free == nil {
+		return
+	}
+	i, bit := t*l.FreeStride()+p/64, uint64(1)<<uint(p%64)
+	if free {
+		l.free[i] |= bit
+	} else {
+		l.free[i] &^= bit
+	}
+}
+
 // FirstFree returns the lowest unoccupied position on tape t for which ok
 // (when non-nil) holds, or -1 when the tape has no acceptable free position.
+// It walks the free bitmap (see FreeWords), so occupied positions cost
+// nothing.
 func (l *Layout) FirstFree(t int, ok func(pos int) bool) int {
-	for p, b := range l.blockAt[t] {
-		if b == -1 && (ok == nil || ok(p)) {
-			return p
+	for i, w := range l.FreeWords(t) {
+		for ; w != 0; w &= w - 1 {
+			p := i*64 + bits.TrailingZeros64(w)
+			if ok == nil || ok(p) {
+				return p
+			}
 		}
 	}
 	return -1
@@ -52,6 +97,7 @@ func (l *Layout) AddCopy(b BlockID, tape, pos int) error {
 	}
 	l.copies[b] = append(l.copies[b], Replica{Tape: tape, Pos: pos})
 	l.blockAt[tape][pos] = b
+	l.setFree(tape, pos, false)
 	if l.posOn != nil {
 		l.posOn[int(b)*l.cfg.Tapes+tape] = int32(pos) + 1
 	}
@@ -82,6 +128,7 @@ func (l *Layout) RemoveCopy(b BlockID, tape int) error {
 		}
 	}
 	l.blockAt[tape][c.Pos] = -1
+	l.setFree(tape, c.Pos, true)
 	if l.posOn != nil {
 		l.posOn[int(b)*l.cfg.Tapes+tape] = 0
 	}

@@ -1,7 +1,7 @@
 package repair
 
 import (
-	"sort"
+	"math/bits"
 
 	"tapejuke/internal/layout"
 )
@@ -105,19 +105,35 @@ type Planner struct {
 	// onto a tape queued for evacuation would be wasted motion).
 	destOK func(tape int) bool
 
-	jobs      []*Job // active jobs in ID order
-	byBlock   map[layout.BlockID]*Job
-	base      []int32        // copies per block at construction time
-	reserved  map[int64]bool // packed (tape,pos) held by in-flight writes
+	jobs    []*Job  // active jobs in ID order
+	byBlock []*Job  // indexed by BlockID: the block's active job, or nil
+	base    []int32 // copies per block at construction time
+	nextID  int64
+	cursor  int // rotating scan position
+	created int64
+
+	// Destination tables, per tape, as bitmaps laid out like the layout's
+	// free bitmap (stride words per tape, bit p%64 of word p/64 for
+	// position p). reserved marks positions held by in-flight writes;
+	// knownBad caches positions posOK has rejected, which stay rejected
+	// because posOK only ever turns from true to false. ChooseDest
+	// searches free &^ reserved &^ knownBad a word at a time.
+	stride    int
+	reserved  []uint64
+	knownBad  []uint64
 	resByTape []int32
-	nextID    int64
-	cursor    int // rotating scan position
-	created   int64
-	ranked    []*Job // scratch for Ranked
+
+	ranking Ranking // scratch for Rank
+	ranked  []*Job  // scratch for Ranked
 }
 
 // New builds a planner over lay. copyOK, tapeUp, and posOK inject
 // liveness; any may be nil, meaning everything is live.
+//
+// posOK must be monotone: once it reports a position unusable, it must
+// never report it usable again (dead media stays dead -- the fault model
+// only ever adds dead positions). The planner caches every rejection and
+// does not ask again.
 func New(lay *layout.Layout, heat *Heat, cfg Config,
 	copyOK func(layout.Replica) bool, tapeUp func(tape int) bool,
 	posOK func(tape, pos int) bool) *Planner {
@@ -133,11 +149,14 @@ func New(lay *layout.Layout, heat *Heat, cfg Config,
 	if cfg.ScanRate <= 0 {
 		cfg.ScanRate = 64
 	}
+	stride := lay.FreeStride()
 	p := &Planner{
 		lay: lay, heat: heat, cfg: cfg, copyOK: copyOK, tapeUp: tapeUp, posOK: posOK,
-		byBlock:   make(map[layout.BlockID]*Job),
+		byBlock:   make([]*Job, lay.NumBlocks()),
 		base:      make([]int32, lay.NumBlocks()),
-		reserved:  make(map[int64]bool),
+		stride:    stride,
+		reserved:  make([]uint64, lay.Tapes()*stride),
+		knownBad:  make([]uint64, lay.Tapes()*stride),
 		resByTape: make([]int32, lay.Tapes()),
 		nextID:    1,
 	}
@@ -146,8 +165,6 @@ func New(lay *layout.Layout, heat *Heat, cfg Config,
 	}
 	return p
 }
-
-func packPos(tape, pos int) int64 { return int64(tape)<<32 | int64(uint32(pos)) }
 
 // SetDestFilter installs (or clears, with nil) the destination-tape filter
 // consulted by feasibility checks and ChooseDest for every job. Existing
@@ -179,7 +196,13 @@ func (p *Planner) Created() int64 { return p.created }
 // ReservedCount returns the number of outstanding destination
 // reservations; it must be zero once the job table drains (leaked scratch
 // state otherwise).
-func (p *Planner) ReservedCount() int { return len(p.reserved) }
+func (p *Planner) ReservedCount() int {
+	n := 0
+	for _, w := range p.reserved {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Feasible reports whether some up tape could receive a new copy of j's
 // block right now: no existing copy there and spare capacity beyond the
@@ -188,15 +211,29 @@ func (p *Planner) ReservedCount() int { return len(p.reserved) }
 // (reclaim) while it is still under-replicated.
 func (p *Planner) Feasible(j *Job) bool { return p.hasDest(j.Block) }
 
+// hasDest reports whether some acceptable up tape without a copy of b has
+// a free, unreserved position.
+//
+// Known miscount, kept deliberately: free positions that posOK rejects
+// (known bad blocks) still count as spare here. A tape whose only free
+// positions are dead therefore looks writable, so a write job aimed at it
+// is neither refused at enqueue nor cancelled when ChooseDest fails; it
+// stays in the table and retries on every idle visit. On the
+// BenchmarkScrubIdle run ChooseDest was called 298,470 times and failed
+// 297,381 times, every failing candidate tape holding exactly 4 free
+// positions, all known bad. Counting only usable positions would stop
+// such jobs from being created -- including ones that already spent a
+// source read -- and so would change event streams; that fix is a
+// behaviour change of its own.
 func (p *Planner) hasDest(b layout.BlockID) bool {
 	for t := 0; t < p.lay.Tapes(); t++ {
-		if !p.tapeUp(t) || (p.destOK != nil && !p.destOK(t)) {
+		if p.lay.FreeBlocks(t)-int(p.resByTape[t]) <= 0 {
 			continue
 		}
 		if _, dup := p.lay.ReplicaOn(b, t); dup {
 			continue
 		}
-		if p.lay.FreeBlocks(t)-int(p.resByTape[t]) > 0 {
+		if p.tapeUp(t) && (p.destOK == nil || p.destOK(t)) {
 			return true
 		}
 	}
@@ -232,14 +269,12 @@ func (p *Planner) enqueue(b layout.BlockID, now float64, want int) *Job {
 // vacate -- plain repair owns dead copies), no live copy exists, or no
 // destination tape can take the extra copy.
 func (p *Planner) EnqueueEvacuation(b layout.BlockID, from layout.Replica, now float64) *Job {
-	if p.byBlock[b] != nil || !p.copyOK(from) {
+	// The copy at `from` is live, so the block has at least one live copy;
+	// counting them waits until the job is known to be created.
+	if p.byBlock[b] != nil || !p.copyOK(from) || !p.hasDest(b) {
 		return nil
 	}
-	live := p.LiveCopies(b)
-	if live == 0 || !p.hasDest(b) {
-		return nil
-	}
-	j := &Job{ID: p.nextID, Kind: KindEvacuate, Block: b, At: now, Want: live + 1, From: from}
+	j := &Job{ID: p.nextID, Kind: KindEvacuate, Block: b, At: now, Want: p.LiveCopies(b) + 1, From: from}
 	p.nextID++
 	p.created++
 	p.jobs = append(p.jobs, j)
@@ -270,20 +305,103 @@ func (p *Planner) NoteCopyDead(tape, pos int, now float64) {
 	}
 }
 
-// Ranked returns the active jobs hottest-first (ties break toward the
-// older job) so idle drive time goes to the blocks most likely to be
-// requested. The returned slice is reused across calls.
-func (p *Planner) Ranked(now float64) []*Job {
-	p.ranked = append(p.ranked[:0], p.jobs...)
-	sort.SliceStable(p.ranked, func(i, j int) bool {
-		hi := p.heat.At(int(p.ranked[i].Block), now)
-		hj := p.heat.At(int(p.ranked[j].Block), now)
-		if hi != hj {
-			return hi > hj
+// Ranking iterates a snapshot of the active jobs hottest-first (ties break
+// toward the older job, so the order is total). It is a binary heap over
+// keys computed once, so a caller that stops after the first few jobs
+// pays O(jobs) to rank plus O(log jobs) per job taken, not a full sort.
+// Jobs enqueued or retired after the snapshot do not change it.
+type Ranking struct {
+	jobs []*Job    // the snapshot, in ID order
+	keys []rankKey // heap of indexes into jobs
+}
+
+// rankKey is one job's place in the ranked order. Because the snapshot is
+// in ID order, the index orders ties exactly as the job IDs would.
+type rankKey struct {
+	heat float64
+	idx  int
+}
+
+// before reports whether a ranks ahead of b: hotter first, then older.
+func (a rankKey) before(b rankKey) bool {
+	return a.heat > b.heat || (a.heat == b.heat && a.idx < b.idx)
+}
+
+// Rank snapshots the active jobs for ranked iteration at time now so idle
+// drive time goes to the blocks most likely to be requested. The returned
+// cursor is the planner's own, reused by the next call.
+//
+// Each job's heat is read once, and only when there are at least two jobs:
+// reading heat decays the block's counter to now, and this keeps those
+// side effects exactly those of the stable sort the ranking replaced (a
+// comparison sort reads every element of a list of two or more, and none
+// of a list of one).
+func (p *Planner) Rank(now float64) *Ranking {
+	r := &p.ranking
+	clear(r.jobs)
+	r.jobs = append(r.jobs[:0], p.jobs...)
+	r.keys = r.keys[:0]
+	if len(r.jobs) == 1 {
+		r.keys = append(r.keys, rankKey{})
+		return r
+	}
+	for i, j := range r.jobs {
+		r.keys = append(r.keys, rankKey{heat: p.heat.At(int(j.Block), now), idx: i})
+	}
+	for i := len(r.keys)/2 - 1; i >= 0; i-- {
+		r.siftDown(i, r.keys[i])
+	}
+	return r
+}
+
+// Next returns the next job in ranked order, or nil once every job of the
+// snapshot has been returned.
+func (r *Ranking) Next() *Job {
+	n := len(r.keys) - 1
+	if n < 0 {
+		return nil
+	}
+	j := r.jobs[r.keys[0].idx]
+	last := r.keys[n]
+	r.keys = r.keys[:n]
+	if n > 0 {
+		r.siftDown(0, last)
+	}
+	return j
+}
+
+// siftDown places key k at heap position i (whose current key is
+// discarded) and restores the heap order below it.
+func (r *Ranking) siftDown(i int, k rankKey) {
+	h := r.keys
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		return p.ranked[i].ID < p.ranked[j].ID
-	})
-	return p.ranked
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(k) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = k
+}
+
+// Ranked returns every active job in Rank order as a slice, reused across
+// calls; callers that may stop early should iterate Rank instead.
+func (p *Planner) Ranked(now float64) []*Job {
+	p.ranked = p.ranked[:0]
+	for r := p.Rank(now); ; {
+		j := r.Next()
+		if j == nil {
+			return p.ranked
+		}
+		p.ranked = append(p.ranked, j)
+	}
 }
 
 // PickSource selects the surviving copy j's read step should use. ok, when
@@ -318,50 +436,66 @@ func (p *Planner) FinishRead(j *Job) { j.Step = StepWrite }
 
 // ChooseDest reserves a destination for j's write step: the acceptable
 // tape with the most spare capacity (ties toward the lowest index) that
-// holds no copy of the block, at its lowest usable free position. tapeOK,
-// when non-nil, filters tapes (the engine requires up and claimable).
-// Returns false when no destination exists right now.
+// holds no copy of the block and has a usable free position, at its lowest
+// usable free position. tapeOK, when non-nil, filters tapes (the engine
+// requires up and claimable). Returns false when no destination exists
+// right now.
+//
+// The cheap capacity tests run before the liveness predicates: every test
+// is free of side effects (posOK's rejections are only cached), so their
+// order cannot change the choice, and on the common failing call -- every
+// tape's free positions known bad -- the predicates are never consulted.
 func (p *Planner) ChooseDest(j *Job, tapeOK func(int) bool) (layout.Replica, bool) {
 	if j.Reserved {
 		return j.Dst, true
 	}
-	type cand struct {
-		tape, spare int
-	}
-	var cands []cand
+	best, bestPos, bestSpare := -1, -1, 0
 	for t := 0; t < p.lay.Tapes(); t++ {
-		if !p.tapeUp(t) || (tapeOK != nil && !tapeOK(t)) ||
-			(p.destOK != nil && !p.destOK(t)) {
+		spare := p.lay.FreeBlocks(t) - int(p.resByTape[t])
+		if spare <= bestSpare { // ties keep the lower tape
+			continue
+		}
+		pos := p.firstUsable(t)
+		if pos < 0 {
 			continue
 		}
 		if _, dup := p.lay.ReplicaOn(j.Block, t); dup {
 			continue
 		}
-		spare := p.lay.FreeBlocks(t) - int(p.resByTape[t])
-		if spare > 0 {
-			cands = append(cands, cand{t, spare})
-		}
-	}
-	sort.Slice(cands, func(i, k int) bool {
-		if cands[i].spare != cands[k].spare {
-			return cands[i].spare > cands[k].spare
-		}
-		return cands[i].tape < cands[k].tape
-	})
-	for _, c := range cands {
-		pos := p.lay.FirstFree(c.tape, func(pos int) bool {
-			return !p.reserved[packPos(c.tape, pos)] && p.posOK(c.tape, pos)
-		})
-		if pos < 0 {
+		if !p.tapeUp(t) || (tapeOK != nil && !tapeOK(t)) ||
+			(p.destOK != nil && !p.destOK(t)) {
 			continue
 		}
-		j.Dst = layout.Replica{Tape: c.tape, Pos: pos}
-		j.Reserved = true
-		p.reserved[packPos(c.tape, pos)] = true
-		p.resByTape[c.tape]++
-		return j.Dst, true
+		best, bestPos, bestSpare = t, pos, spare
 	}
-	return layout.Replica{}, false
+	if best < 0 {
+		return layout.Replica{}, false
+	}
+	j.Dst = layout.Replica{Tape: best, Pos: bestPos}
+	j.Reserved = true
+	p.reserved[best*p.stride+bestPos/64] |= 1 << uint(bestPos%64)
+	p.resByTape[best]++
+	return j.Dst, true
+}
+
+// firstUsable returns the lowest position on tape t that is free,
+// unreserved and accepted by posOK, or -1. Positions posOK rejects are
+// recorded in knownBad so no later search asks about them again.
+func (p *Planner) firstUsable(t int) int {
+	off := t * p.stride
+	res := p.reserved[off : off+p.stride]
+	bad := p.knownBad[off : off+p.stride]
+	for i, w := range p.lay.FreeWords(t) {
+		for m := w &^ res[i] &^ bad[i]; m != 0; m &= m - 1 {
+			bit := bits.TrailingZeros64(m)
+			pos := i*64 + bit
+			if p.posOK(t, pos) {
+				return pos
+			}
+			bad[i] |= 1 << uint(bit)
+		}
+	}
+	return -1
 }
 
 // release drops j's destination reservation, if any.
@@ -369,7 +503,7 @@ func (p *Planner) release(j *Job) {
 	if !j.Reserved {
 		return
 	}
-	delete(p.reserved, packPos(j.Dst.Tape, j.Dst.Pos))
+	p.reserved[j.Dst.Tape*p.stride+j.Dst.Pos/64] &^= 1 << uint(j.Dst.Pos%64)
 	p.resByTape[j.Dst.Tape]--
 	j.Reserved = false
 }
@@ -412,7 +546,7 @@ func (p *Planner) drop(j *Job) {
 		}
 	}
 	if p.byBlock[j.Block] == j {
-		delete(p.byBlock, j.Block)
+		p.byBlock[j.Block] = nil
 	}
 }
 

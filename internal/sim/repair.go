@@ -119,7 +119,8 @@ func (e *engine) idleRepairOp(d int) bool {
 	}
 	e.healthEvacScan()
 	rp.pl.Scan(e.now, e.reclaimCopy)
-	for _, j := range rp.pl.Ranked(e.now) {
+	r := rp.pl.Rank(e.now)
+	for j := r.Next(); j != nil; j = r.Next() {
 		if j.Busy {
 			// Another drive is executing this job's current step.
 			continue
