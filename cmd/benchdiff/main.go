@@ -24,6 +24,14 @@
 // factor; see DESIGN.md's bench note). The regression threshold then
 // applies to the normalized ratios, so a cross-machine comparison no
 // longer needs a manual stash A/B to interpret.
+//
+// Every entry is stamped with the host it ran on: CPU model (from the
+// `cpu:` line go test prints, else /proc/cpuinfo), nproc, the GOMAXPROCS
+// the benchmarks ran under (from the -N suffix of their names), the Go
+// version and the git commit of the measured sources (suffixed -dirty
+// when Go files differ from it). -compare refuses to diff entries from
+// different hosts -- or an entry recorded before stamping, whose host is
+// unknown -- unless -calibrate is given.
 package main
 
 import (
@@ -33,7 +41,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,7 +63,32 @@ type Result struct {
 type Entry struct {
 	Label      string            `json:"label"`
 	Date       string            `json:"date"`
+	Host       *Host             `json:"host,omitempty"` // nil on entries recorded before stamping
 	Benchmarks map[string]Result `json:"benchmarks"`
+}
+
+// Host identifies where and on what an entry was measured.
+type Host struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+// sameMachine reports whether two entries' timings are comparable without
+// calibration: same CPU model, CPU count and GOMAXPROCS. The Go version
+// and commit are what a comparison is usually about, so they may differ.
+func sameMachine(a, b *Host) bool {
+	return a != nil && b != nil && a.CPU == b.CPU && a.NProc == b.NProc && a.GOMAXPROCS == b.GOMAXPROCS
+}
+
+// String renders the machine part of a host stamp.
+func (h *Host) String() string {
+	if h == nil {
+		return "unknown host (entry predates host stamping)"
+	}
+	return fmt.Sprintf("%q, nproc %d, GOMAXPROCS %d", h.CPU, h.NProc, h.GOMAXPROCS)
 }
 
 // File is the on-disk trajectory: a sequence of labelled runs.
@@ -61,7 +96,7 @@ type File struct {
 	Entries []Entry `json:"entries"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	in := flag.String("in", "-", "benchmark output to parse (file path or - for stdin)")
@@ -85,7 +120,7 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	benchmarks, err := parse(r)
+	benchmarks, meta, err := parse(r)
 	if err != nil {
 		fatal(err)
 	}
@@ -105,6 +140,7 @@ func main() {
 	entry := Entry{
 		Label:      *label,
 		Date:       time.Now().UTC().Format(time.RFC3339),
+		Host:       stampHost(meta),
 		Benchmarks: benchmarks,
 	}
 	replaced := false
@@ -140,27 +176,51 @@ func main() {
 	if base == nil {
 		fatal(fmt.Errorf("no entry labelled %q in %s", *compare, *jsonPath))
 	}
+	if !sameMachine(base.Host, entry.Host) && *calibrate == "" {
+		fatal(fmt.Errorf("refusing to compare across hosts without -calibrate: %q ran on %v, %q on %v",
+			base.Label, base.Host, entry.Label, entry.Host))
+	}
 	if regressed := diff(base, &entry, *threshold, *calibrate); regressed {
 		fmt.Fprintf(os.Stderr, "benchdiff: ns/op regression beyond %.2fx against %q\n", *threshold, *compare)
 		os.Exit(1)
 	}
 }
 
-// parse extracts benchmark results from go test -bench output.
-func parse(r io.Reader) (map[string]Result, error) {
+// benchMeta is what go test -bench output says about the machine: the
+// CPU model from its `cpu:` header and the GOMAXPROCS from the -N suffix
+// of benchmark names (no suffix means GOMAXPROCS 1).
+type benchMeta struct {
+	cpu   string
+	procs int
+}
+
+// parse extracts benchmark results and machine details from go test
+// -bench output.
+func parse(r io.Reader) (map[string]Result, benchMeta, error) {
 	out := make(map[string]Result)
+	meta := benchMeta{procs: 1}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		line := strings.TrimSpace(sc.Text())
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok && meta.cpu == "" {
+			meta.cpu = strings.TrimSpace(cpu)
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+		if m[2] != "" {
+			if n, err := strconv.Atoi(m[2]); err == nil && n > meta.procs {
+				meta.procs = n
+			}
+		}
+		iters, err := strconv.ParseInt(m[3], 10, 64)
 		if err != nil {
 			continue
 		}
 		res := Result{Iterations: iters}
-		fields := strings.Fields(m[3])
+		fields := strings.Fields(m[4])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -182,7 +242,56 @@ func parse(r io.Reader) (map[string]Result, error) {
 		}
 		out[m[1]] = res
 	}
-	return out, sc.Err()
+	return out, meta, sc.Err()
+}
+
+// stampHost describes the machine and sources of this run.
+func stampHost(meta benchMeta) *Host {
+	cpu := meta.cpu
+	if cpu == "" {
+		cpu = cpuinfoModel()
+	}
+	return &Host{
+		CPU:        cpu,
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: meta.procs,
+		GoVersion:  runtime.Version(),
+		Commit:     gitCommit(),
+	}
+}
+
+// cpuinfoModel returns the first "model name" in /proc/cpuinfo, or
+// "unknown" where there is none.
+func cpuinfoModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+// gitCommit returns the HEAD commit of the working directory's repository,
+// suffixed -dirty when tracked Go sources or go.mod differ from it, or
+// "unknown" outside a git checkout.
+func gitCommit() string {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(head))
+	changed, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no", "--", "*.go", "go.mod").Output()
+	if err != nil {
+		return commit
+	}
+	if len(strings.TrimSpace(string(changed))) > 0 {
+		commit += "-dirty"
+	}
+	return commit
 }
 
 // diff prints a delta table and reports whether any common benchmark's
