@@ -39,23 +39,23 @@ func checkFirstFree(t *testing.T, l *Layout, rng *rand.Rand, when string) {
 }
 
 // mutateRandomly applies one random AddCopy or RemoveCopy to l, choosing
-// targets with rng; it reports whether a mutation happened.
-func mutateRandomly(t *testing.T, l *Layout, rng *rand.Rand) bool {
+// targets with rng; draws that hit an impossible mutation do nothing.
+func mutateRandomly(t *testing.T, l *Layout, rng *rand.Rand) {
 	t.Helper()
 	b := BlockID(rng.Intn(l.NumBlocks()))
 	if rng.Intn(2) == 0 {
 		cs := l.Replicas(b)
 		if len(cs) <= 1 {
-			return false
+			return
 		}
 		if err := l.RemoveCopy(b, cs[rng.Intn(len(cs))].Tape); err != nil {
 			t.Fatalf("RemoveCopy: %v", err)
 		}
-		return true
+		return
 	}
 	tp := rng.Intn(l.Tapes())
 	if _, dup := l.ReplicaOn(b, tp); dup || l.FreeBlocks(tp) == 0 {
-		return false
+		return
 	}
 	// Any free position, not just the first: mutations must leave holes
 	// anywhere on the tape, including across word boundaries.
@@ -68,7 +68,6 @@ func mutateRandomly(t *testing.T, l *Layout, rng *rand.Rand) bool {
 	if err := l.AddCopy(b, tp, frees[rng.Intn(len(frees))]); err != nil {
 		t.Fatalf("AddCopy: %v", err)
 	}
-	return true
 }
 
 // freeBitmapCase drives two identical layouts through the same random

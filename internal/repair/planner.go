@@ -212,7 +212,7 @@ func (p *Planner) ReservedCount() int {
 func (p *Planner) Feasible(j *Job) bool { return p.hasDest(j.Block) }
 
 // hasDest reports whether some acceptable up tape without a copy of b has
-// a free, unreserved position.
+// more free positions than reservations.
 //
 // Known miscount, kept deliberately: free positions that posOK rejects
 // (known bad blocks) still count as spare here. A tape whose only free
@@ -395,13 +395,11 @@ func (r *Ranking) siftDown(i int, k rankKey) {
 // calls; callers that may stop early should iterate Rank instead.
 func (p *Planner) Ranked(now float64) []*Job {
 	p.ranked = p.ranked[:0]
-	for r := p.Rank(now); ; {
-		j := r.Next()
-		if j == nil {
-			return p.ranked
-		}
+	r := p.Rank(now)
+	for j := r.Next(); j != nil; j = r.Next() {
 		p.ranked = append(p.ranked, j)
 	}
+	return p.ranked
 }
 
 // PickSource selects the surviving copy j's read step should use. ok, when
