@@ -1,36 +1,28 @@
 package layout
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// linearFirstFree is the position-by-position scan FirstFree performed
-// before the free bitmap existed: the reference the bitmap walk must match.
-func linearFirstFree(l *Layout, t int, ok func(pos int) bool) int {
-	for p, b := range l.blockAt[t] {
-		if b == -1 && (ok == nil || ok(p)) {
-			return p
-		}
-	}
-	return -1
-}
-
-// checkFirstFree compares the bitmap walk against the linear scan on every
-// tape, unfiltered and under a filter that rejects a seeded subset of
-// positions (so the walk must step past rejected free positions).
-func checkFirstFree(t *testing.T, l *Layout, rng *rand.Rand, when string) {
+// checkFree validates l -- which, once the bitmap exists, checks every
+// bit of it against the grid -- and checks that each tape's lowest set bit
+// is FirstFree's answer, so the bitmap's word and bit order match
+// positions.
+func checkFree(t *testing.T, l *Layout, when string) {
 	t.Helper()
-	k := 2 + rng.Intn(5)
-	r := rng.Intn(k)
-	reject := func(p int) bool { return p%k != r }
 	for tp := 0; tp < l.Tapes(); tp++ {
-		if got, want := l.FirstFree(tp, nil), linearFirstFree(l, tp, nil); got != want {
-			t.Fatalf("%s: FirstFree(%d, nil) = %d, linear scan %d", when, tp, got, want)
+		got := -1
+		for i, w := range l.FreeWords(tp) {
+			if w != 0 {
+				got = i*64 + bits.TrailingZeros64(w)
+				break
+			}
 		}
-		if got, want := l.FirstFree(tp, reject), linearFirstFree(l, tp, reject); got != want {
-			t.Fatalf("%s: filtered FirstFree(%d) = %d, linear scan %d", when, tp, got, want)
+		if want := l.FirstFree(tp, nil); got != want {
+			t.Fatalf("%s: tape %d: lowest free bit %d, FirstFree %d", when, tp, got, want)
 		}
 	}
 	if err := l.Validate(); err != nil {
@@ -91,19 +83,19 @@ func freeBitmapCase(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: second Build failed: %v", seed, err)
 	}
-	checkFirstFree(t, early, rng, "fresh layout")
+	checkFree(t, early, "fresh layout")
 
 	ops := 20 + rng.Intn(200)
 	for i := 0; i < ops; i++ {
 		opSeed := rng.Int63()
 		mutateRandomly(t, early, rand.New(rand.NewSource(opSeed)))
 		mutateRandomly(t, late, rand.New(rand.NewSource(opSeed)))
-		checkFirstFree(t, early, rng, "after mutation")
+		checkFree(t, early, "after mutation")
 	}
 	if late.free != nil {
 		t.Fatalf("seed %d: mutations built the free bitmap; it must stay lazy", seed)
 	}
-	checkFirstFree(t, late, rng, "bitmap built after mutations")
+	checkFree(t, late, "bitmap built after mutations")
 	for tp := 0; tp < tapes; tp++ {
 		a, b := early.FreeWords(tp), late.FreeWords(tp)
 		for i := range a {
@@ -127,8 +119,8 @@ func FuzzFreeBitmap(f *testing.F) {
 	f.Fuzz(freeBitmapCase)
 }
 
-// TestFreeBitmapLazy: building a layout and reading it never allocates the
-// bitmap; only a free-space search does.
+// TestFreeBitmapLazy: building a layout, reading it and the linear
+// FirstFree never allocate the bitmap; only FreeWords does.
 func TestFreeBitmapLazy(t *testing.T) {
 	l := mutLayout(t)
 	l.ReplicaOn(0, 0)
@@ -140,8 +132,12 @@ func TestFreeBitmapLazy(t *testing.T) {
 		t.Fatal("free bitmap built without a free-space search")
 	}
 	l.FirstFree(0, nil)
+	if l.free != nil {
+		t.Fatal("FirstFree built the free bitmap")
+	}
+	l.FreeWords(0)
 	if l.free == nil {
-		t.Fatal("FirstFree did not build the free bitmap")
+		t.Fatal("FreeWords did not build the free bitmap")
 	}
 }
 

@@ -91,8 +91,8 @@ type Layout struct {
 	tapeSlots [][]Slot
 	// free is the per-tape free-position bitmap: bit p%64 of word
 	// t*FreeStride()+p/64 is set when position p of tape t holds no copy.
-	// Only free-space searches (FirstFree, FreeWords) need it, so it is
-	// built on their first call and kept current by AddCopy and
+	// Only the repair planner's free-space search needs it, so it is
+	// built on the first FreeWords call and kept current by AddCopy and
 	// RemoveCopy from then on; layouts no one searches never allocate it.
 	free []uint64
 }

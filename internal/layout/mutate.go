@@ -2,7 +2,6 @@ package layout
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -65,15 +64,10 @@ func (l *Layout) setFree(t, p int, free bool) {
 
 // FirstFree returns the lowest unoccupied position on tape t for which ok
 // (when non-nil) holds, or -1 when the tape has no acceptable free position.
-// It walks the free bitmap (see FreeWords), so occupied positions cost
-// nothing.
 func (l *Layout) FirstFree(t int, ok func(pos int) bool) int {
-	for i, w := range l.FreeWords(t) {
-		for ; w != 0; w &= w - 1 {
-			p := i*64 + bits.TrailingZeros64(w)
-			if ok == nil || ok(p) {
-				return p
-			}
+	for p, b := range l.blockAt[t] {
+		if b == -1 && (ok == nil || ok(p)) {
+			return p
 		}
 	}
 	return -1

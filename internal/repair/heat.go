@@ -22,12 +22,6 @@ type Heat struct {
 	halfLife float64
 	count    []float64
 	stamp    []float64
-
-	// lastDt and lastFactor memoize the most recent decay factor. Counters
-	// read together (every active repair job's block at each ranking) tend
-	// to share their last-update time, hence dt; the factor is a pure
-	// function of dt, so reusing it is bit-identical to recomputing it.
-	lastDt, lastFactor float64
 }
 
 // NewHeat returns a tracker for `blocks` blocks with the given half-life
@@ -48,10 +42,7 @@ func (h *Heat) decayTo(b int, now float64) {
 	}
 	// A zero counter stays zero under any decay, so it skips the factor.
 	if dt := now - h.stamp[b]; dt > 0 && h.count[b] != 0 {
-		if dt != h.lastDt {
-			h.lastDt, h.lastFactor = dt, math.Exp2(-dt/h.halfLife)
-		}
-		h.count[b] *= h.lastFactor
+		h.count[b] *= math.Exp2(-dt / h.halfLife)
 	}
 	h.stamp[b] = now
 }

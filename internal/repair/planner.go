@@ -124,7 +124,6 @@ type Planner struct {
 	resByTape []int32
 
 	ranking Ranking // scratch for Rank
-	ranked  []*Job  // scratch for Ranked
 }
 
 // New builds a planner over lay. copyOK, tapeUp, and posOK inject
@@ -389,17 +388,6 @@ func (r *Ranking) siftDown(i int, k rankKey) {
 		i = c
 	}
 	h[i] = k
-}
-
-// Ranked returns every active job in Rank order as a slice, reused across
-// calls; callers that may stop early should iterate Rank instead.
-func (p *Planner) Ranked(now float64) []*Job {
-	p.ranked = p.ranked[:0]
-	r := p.Rank(now)
-	for j := r.Next(); j != nil; j = r.Next() {
-		p.ranked = append(p.ranked, j)
-	}
-	return p.ranked
 }
 
 // PickSource selects the surviving copy j's read step should use. ok, when

@@ -24,6 +24,16 @@ func refRanked(p *Planner, now float64) []*Job {
 	return out
 }
 
+// Ranked drains Rank(now) into a slice: every active job in ranked order.
+func (p *Planner) Ranked(now float64) []*Job {
+	var out []*Job
+	r := p.Rank(now)
+	for j := r.Next(); j != nil; j = r.Next() {
+		out = append(out, j)
+	}
+	return out
+}
+
 // sameHeatBits reports whether two trackers hold bitwise-identical counter
 // and stamp arrays.
 func sameHeatBits(a, b *Heat) bool {
