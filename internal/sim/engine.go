@@ -78,8 +78,12 @@ type engine struct {
 	// Deferred observer events, ordered by (time, push sequence); operations
 	// queue their interior and end-of-operation events at issue time and the
 	// kernel releases them as the clock passes them (kernel.go).
-	evq   eventQueue
+	evq   heap4[queuedEvent]
 	evSeq int64
+
+	// idle is the background work a drive with nothing to read may take,
+	// in priority order; see newEngine.
+	idle []func(d int) bool
 
 	writes *writeState    // write-model extension, nil when disabled
 	flt    *faultState    // fault-model extension, nil when disabled
@@ -232,6 +236,19 @@ func newEngine(cfg Config, sess *Session) (*engine, error) {
 	}
 	e.initRepair()
 	e.initHealth()
+	// Idle work, in priority order: flush buffered writes, then rebuild
+	// copies, then patrol for latent errors. Each takes one step per
+	// operation, so a real request arriving preempts the background work
+	// at the next issue with its progress intact.
+	if e.writes != nil && (cfg.WritePolicy == WriteIdleOnly || cfg.WritePolicy == WritePiggybackAndIdle) {
+		e.idle = append(e.idle, e.idleFlushOp)
+	}
+	if e.rep != nil {
+		e.idle = append(e.idle, e.idleRepairOp)
+	}
+	if e.hlt != nil && e.hlt.scr != nil {
+		e.idle = append(e.idle, e.idleScrubOp)
+	}
 	// Seed the system: closed models start with the full queue present;
 	// open models schedule their first Poisson arrival.
 	for i := 0; i < arr.InitialCount(); i++ {

@@ -216,14 +216,9 @@ func (e *engine) healthFenceOp(d int) bool {
 	}
 	e.sh.Fenced[d] = true
 	h.fenced++
-	if st.Mounted >= 0 {
-		// Maintenance happens on an empty drive; the cartridge goes back
-		// to the library so other drives may use it.
-		if e.sh.Busy != nil {
-			e.sh.Busy[st.Mounted] = false
-		}
-		st.Mounted, st.Head = -1, 0
-	}
+	// Maintenance happens on an empty drive; the cartridge goes back to
+	// the library so other drives may use it.
+	e.unload(st)
 	m := h.cfg.MaintenanceSec
 	dr.unfence = true
 	e.push(Event{Kind: EventDriveFence, Time: e.now + m, Tape: -1, Pos: -1, Seconds: m})
@@ -240,11 +235,7 @@ func (e *engine) healthFenceOp(d int) bool {
 // was issued.
 func (e *engine) idleScrubOp(d int) bool {
 	h := e.hlt
-	if h == nil || h.scr == nil {
-		return false
-	}
-	dr := &e.drives[d]
-	st := dr.st
+	st := e.drives[d].st
 	lay := e.sh.Layout
 	maxTries := lay.TapeCap()/h.cfg.ScrubRate + 2
 	for try := 0; try < maxTries; try++ {
@@ -286,33 +277,19 @@ func (e *engine) idleScrubOp(d int) bool {
 // and a tape already dead is discovered by time comparison -- so the
 // fault stream is unchanged.
 func (e *engine) issueScrub(d, tape int, poss []int) bool {
-	dr := &e.drives[d]
-	st := dr.st
 	h := e.hlt
-	vt := e.now
-	if tape != st.Mounted {
-		var ok bool
-		if vt, ok = e.idleSwitch(d, tape, &h.scrubSec); !ok {
-			return true // the failed load occupied the drive
-		}
+	vt, ok := e.mount(d, tape, e.now, &h.scrubSec)
+	if !ok {
+		return true // the failed load occupied the drive
 	}
 	for _, pos := range poss {
-		if e.flt != nil && e.flt.inj.TapeFailed(tape, vt) {
-			// The medium died under the patrol: the locate runs into the
-			// failure and the tape is masked at settle.
-			loc, _, _ := e.sh.Costs.ServeOneParts(st.Head, pos)
-			vt += loc
-			h.scrubSec += loc
-			dr.failTape = tape
-			e.beginOp(d, vt, false)
-			return true
+		if e.deadAt(d, tape, pos, vt, &h.scrubSec, false) {
+			return true // the medium died under the patrol
 		}
-		loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, pos)
-		vt += loc + rd
-		h.scrubSec += loc + rd
-		st.Head = newHead
+		var sec float64
+		vt, sec = e.access(e.drives[d].st, pos, vt, &h.scrubSec)
 		h.scrubbedBlocks++
-		e.push(Event{Kind: EventScrubRead, Time: vt, Tape: tape, Pos: pos, Seconds: loc + rd})
+		e.push(Event{Kind: EventScrubRead, Time: vt, Tape: tape, Pos: pos, Seconds: sec})
 		if e.flt != nil && e.flt.inj.LatentActive(tape, pos, vt) {
 			e.noteLatentFound(tape, pos, vt, true)
 		}

@@ -31,7 +31,7 @@ type Session struct {
 	reqFree      []*sched.Request
 	respSample   *stats.Reservoir
 	readsPerTape []int64
-	evq          eventQueue
+	evq          heap4[queuedEvent]
 
 	genRand *rand.Rand // workload generator stream, reseeded per run
 	arrRand *rand.Rand // Poisson arrival stream, reseeded per run
