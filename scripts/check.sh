@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: vet, build, and race-test the internal packages, then
-# the full test suite. Run before every merge (see README).
+# the full test suite, then vet and test the benchmark module. Run before
+# every merge (see README).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,4 +13,8 @@ echo "== go test -race -short ./..."
 go test -race -short ./...
 echo "== go test ./..."
 go test ./...
+# perfbench is its own module (it imports internal/sim), so the root
+# ./... patterns never compile it.
+echo "== perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
 echo "check.sh: all green"
