@@ -21,8 +21,9 @@ type OpenAssessment = analytic.OpenAssessment
 // single-sweep rotation over the tapes. It complements Run: the simulator
 // and the closed form are independent implementations that agree to first
 // order, so a large disagreement on a custom configuration is a signal
-// worth investigating. Replicated layouts, open queuing, and serpentine
-// drives are out of the model's scope and return an error.
+// worth investigating. The layout is the one Run would simulate, partial
+// fill and write reserve included. Replicated layouts, open queuing, and
+// serpentine drives are out of the model's scope and return an error.
 func Analyze(c Config) (*Estimate, error) {
 	c = c.WithDefaults()
 	if c.Replicas != 0 {
@@ -31,23 +32,9 @@ func Analyze(c Config) (*Estimate, error) {
 	if c.QueueLength <= 0 {
 		return nil, errors.New("tapejuke: Analyze requires a closed-queuing configuration")
 	}
-	prof, ok := tapemodel.PositionerByName(driveName(c.DriveProfile)).(*tapemodel.Profile)
-	if !ok || prof == nil {
-		return nil, fmt.Errorf("tapejuke: Analyze needs a helical-scan profile, not %q", c.DriveProfile)
-	}
-	kind := layout.Horizontal
-	if c.Placement == Vertical {
-		kind = layout.Vertical
-	}
-	lay, err := layout.Build(layout.Config{
-		Tapes:         c.Tapes,
-		TapeCapBlocks: int(c.TapeCapMB / c.BlockMB),
-		HotPercent:    c.HotPercent,
-		Kind:          kind,
-		StartPos:      c.StartPos,
-	})
+	prof, lay, err := c.analyticModel()
 	if err != nil {
-		return nil, fmt.Errorf("tapejuke: %w", err)
+		return nil, err
 	}
 	return analytic.ClosedThroughput(prof, c.BlockMB, lay, c.ReadHotPercent, c.QueueLength)
 }
@@ -65,23 +52,23 @@ func AssessOpenLoad(c Config) (*OpenAssessment, error) {
 	if c.Replicas != 0 {
 		return nil, errors.New("tapejuke: AssessOpenLoad does not model replication")
 	}
-	prof, ok := tapemodel.PositionerByName(driveName(c.DriveProfile)).(*tapemodel.Profile)
-	if !ok || prof == nil {
-		return nil, fmt.Errorf("tapejuke: AssessOpenLoad needs a helical-scan profile, not %q", c.DriveProfile)
-	}
-	kind := layout.Horizontal
-	if c.Placement == Vertical {
-		kind = layout.Vertical
-	}
-	lay, err := layout.Build(layout.Config{
-		Tapes:         c.Tapes,
-		TapeCapBlocks: int(c.TapeCapMB / c.BlockMB),
-		HotPercent:    c.HotPercent,
-		Kind:          kind,
-		StartPos:      c.StartPos,
-	})
+	prof, lay, err := c.analyticModel()
 	if err != nil {
-		return nil, fmt.Errorf("tapejuke: %w", err)
+		return nil, err
 	}
 	return analytic.AssessOpen(prof, c.BlockMB, lay, c.ReadHotPercent, c.MeanInterarrivalSec)
+}
+
+// analyticModel resolves the helical-scan profile and the layout that the
+// closed forms evaluate.
+func (c Config) analyticModel() (*tapemodel.Profile, *layout.Layout, error) {
+	sc, lay, _, err := c.buildLayout()
+	if err != nil {
+		return nil, nil, err
+	}
+	prof, ok := sc.Profile.(*tapemodel.Profile)
+	if !ok {
+		return nil, nil, fmt.Errorf("tapejuke: the analytic model needs a helical-scan profile, not %q", c.DriveProfile)
+	}
+	return prof, lay, nil
 }

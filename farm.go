@@ -262,17 +262,9 @@ func validateFarm(fc FarmConfig, base Config) (farm.Policy, error) {
 // count, so the same E. FarmMirror stores the whole farm hot set (N*Hl)
 // everywhere and is the expensive end of the trade.
 func planPlacement(base Config, n int, pol farm.Policy) (shardCfg Config, localHot, localCold, farmHot, farmCold int, err error) {
-	sc, err := base.toSim()
+	_, lt, _, err := base.buildLayout()
 	if err != nil {
 		return Config{}, 0, 0, 0, 0, err
-	}
-	layCfg, _, err := sc.LayoutConfig()
-	if err != nil {
-		return Config{}, 0, 0, 0, 0, err
-	}
-	lt, err := layout.Build(layCfg)
-	if err != nil {
-		return Config{}, 0, 0, 0, 0, fmt.Errorf("tapejuke: %w", err)
 	}
 	hl, cl := lt.NumHot(), lt.NumCold()
 	farmHot, farmCold = n*hl, n*cl
@@ -293,20 +285,12 @@ func planPlacement(base Config, n int, pol farm.Policy) (shardCfg Config, localH
 	}
 	// Re-derive the actual layout the shards will build: integer rounding
 	// in the hot count must match the engine exactly, not the intent.
-	ssc, err := shardCfg.toSim()
-	if err != nil {
-		return Config{}, 0, 0, 0, 0, err
-	}
-	sLayCfg, _, err := ssc.LayoutConfig()
-	if err != nil {
-		return Config{}, 0, 0, 0, 0, err
-	}
-	sl, err := layout.Build(sLayCfg)
+	_, sl, _, err := shardCfg.buildLayout()
 	if err != nil {
 		if pol == farm.PlaceMirror {
-			return Config{}, 0, 0, 0, 0, fmt.Errorf("tapejuke: mirrored hot set (%d blocks per library) does not fit: %w", n*hl, err)
+			return Config{}, 0, 0, 0, 0, fmt.Errorf("%w (mirrored hot set of %d blocks per library does not fit)", err, n*hl)
 		}
-		return Config{}, 0, 0, 0, 0, fmt.Errorf("tapejuke: %w", err)
+		return Config{}, 0, 0, 0, 0, err
 	}
 	return shardCfg, sl.NumHot(), sl.NumCold(), farmHot, farmCold, nil
 }
@@ -327,17 +311,9 @@ func projectDeaths(shardCfg Config, baseSeed int64, n int, pol farm.Policy) ([][
 	if fcf.TapeMTBFSec <= 0 && fcf.BadBlocksPerTape <= 0 {
 		return nil, nil
 	}
-	sc, err := shardCfg.toSim()
+	_, lay, capBlocks, err := shardCfg.buildLayout()
 	if err != nil {
 		return nil, err
-	}
-	layCfg, capBlocks, err := sc.LayoutConfig()
-	if err != nil {
-		return nil, err
-	}
-	lay, err := layout.Build(layCfg)
-	if err != nil {
-		return nil, fmt.Errorf("tapejuke: %w", err)
 	}
 	drives := shardCfg.Drives
 	if drives < 1 {

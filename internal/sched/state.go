@@ -252,8 +252,7 @@ type CopyObserver interface {
 // reschedules within one run and can restore their just-constructed
 // observable state while keeping allocated scratch. A session runner may
 // reuse a scheduler across runs only if it implements RunResetter (and
-// calls ResetRun between runs) or is known to be stateless, like FIFO and
-// the static/dynamic policies; anything else must be built fresh.
+// calls ResetRun between runs); anything else is built fresh.
 type RunResetter interface {
 	ResetRun()
 }

@@ -10,14 +10,10 @@ import (
 	"tapejuke/internal/workload"
 )
 
-// Run executes one simulation and returns its metrics.
-func Run(cfg Config) (*Result, error) {
-	e, err := newEngine(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.run()
-}
+// Run executes one simulation and returns its metrics. It is a run on a
+// fresh Session: every simulation takes the same path, and a caller that
+// runs many configurations keeps one Session to reuse its caches.
+func Run(cfg Config) (*Result, error) { return NewSession().Run(cfg) }
 
 // newCostModel builds a cost model with its dense block-grid table enabled.
 // The table devirtualizes the cost hot path and is bit-exact, so results
@@ -92,9 +88,8 @@ type engine struct {
 	hlt    *healthState   // proactive media-health extension, nil when disabled
 }
 
-// newEngine assembles one run's state. sess, when non-nil, supplies cached
-// layouts/cost tables and recycled scratch (see Session); nil preserves the
-// build-everything-fresh path of the package-level Run.
+// newEngine assembles one run's state, taking cached layouts and cost
+// tables and recycled scratch from sess (see Session).
 func newEngine(cfg Config, sess *Session) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -113,7 +108,7 @@ func newEngine(cfg Config, sess *Session) (*engine, error) {
 		return nil, err
 	}
 	var lay *layout.Layout
-	if sess != nil && !cfg.Repair.Enabled() {
+	if !cfg.Repair.Enabled() {
 		lay, err = sess.cachedLayout(layCfg)
 	} else {
 		// Repair mutates the layout in place, so a run with it enabled
@@ -154,18 +149,11 @@ func newEngine(cfg Config, sess *Session) (*engine, error) {
 	}
 	// The cost table (enabled inside newCostModel/cachedCosts) covers the
 	// whole tape: data region plus write reserve.
-	tableBlocks := int(cfg.TapeCapMB / cfg.BlockMB)
-	var costs *sched.CostModel
-	var sh *sched.Shared
-	if sess != nil {
-		costs = sess.cachedCosts(cfg.Profile, cfg.BlockMB, tableBlocks)
-		if sh = sess.sh; sh != nil {
-			sh.Reset(lay, costs)
-		}
+	costs := sess.cachedCosts(cfg.Profile, cfg.BlockMB, int(cfg.TapeCapMB/cfg.BlockMB))
+	sh := sess.sh
+	if sh != nil {
+		sh.Reset(lay, costs)
 	} else {
-		costs = newCostModel(cfg.Profile, cfg.BlockMB, tableBlocks)
-	}
-	if sh == nil {
 		sh = &sched.Shared{Layout: lay, Costs: costs}
 	}
 	if nd > 1 {
@@ -181,36 +169,31 @@ func newEngine(cfg Config, sess *Session) (*engine, error) {
 		arr:       arr,
 		warmupEnd: cfg.Horizon * cfg.WarmupFrac,
 	}
-	if sess != nil {
-		// Adopt the session's recycled scratch: the request free list, the
-		// reservoir with its sample buffers, the per-tape counters, the
-		// drive records, and the event calendar's storage.
-		e.reqFree, sess.reqFree = sess.reqFree, nil
-		if r := sess.respSample; r != nil && r.K == reservoirK {
-			r.Reset()
-			e.respSample = r
-		}
-		if rt := sess.readsPerTape; cap(rt) >= cfg.Tapes {
-			rt = rt[:cfg.Tapes]
-			for i := range rt {
-				rt[i] = 0
-			}
-			e.readsPerTape = rt
-		}
-		if cap(sess.drives) >= nd {
-			e.drives = sess.drives[:nd]
-		}
-		e.evq = sess.evq[:0]
-	}
-	if e.respSample == nil {
+	// Adopt the session's recycled scratch: the request free list, the
+	// reservoir with its sample buffers, the per-tape counters, the drive
+	// records, and the event calendar's storage.
+	e.reqFree, sess.reqFree = sess.reqFree, nil
+	if r := sess.respSample; r != nil && r.K == reservoirK {
+		r.Reset()
+		e.respSample = r
+	} else {
 		e.respSample = stats.NewReservoir(reservoirK)
 	}
-	if e.readsPerTape == nil {
+	if rt := sess.readsPerTape; cap(rt) >= cfg.Tapes {
+		rt = rt[:cfg.Tapes]
+		for i := range rt {
+			rt[i] = 0
+		}
+		e.readsPerTape = rt
+	} else {
 		e.readsPerTape = make([]int64, cfg.Tapes)
 	}
-	if e.drives == nil {
+	if cap(sess.drives) >= nd {
+		e.drives = sess.drives[:nd]
+	} else {
 		e.drives = make([]drive, nd)
 	}
+	e.evq = sess.evq[:0]
 	e.intn = e.gen.Rand().Int63n
 	for i := range e.drives {
 		s := cfg.Scheduler

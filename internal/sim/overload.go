@@ -84,8 +84,8 @@ func (e *engine) initOverload() error {
 	return nil
 }
 
-// newArrivals builds the arrival process, bursty when configured. A
-// non-nil session donates its recycled Poisson stream.
+// newArrivals builds the arrival process, bursty when configured. The
+// session donates its recycled Poisson stream.
 func newArrivals(cfg *Config, sess *Session) (workload.Arrivals, error) {
 	b := cfg.Burst
 	if cfg.QueueLength > 0 {

@@ -18,8 +18,9 @@ import (
 // which is reset rather than reallocated. A Session is not safe for
 // concurrent use: create one per worker goroutine.
 //
-// Session.Run is result-identical to the package-level Run for every
-// configuration; the session tests pin this.
+// Every simulation runs on a Session; the package-level Run is a run on a
+// fresh one. A reused Session's results are identical to a fresh one's for
+// every configuration, in any order (the Runner tests pin this).
 type Session struct {
 	layKey  layout.Config
 	lay     *layout.Layout
@@ -37,11 +38,10 @@ type Session struct {
 	arrRand *rand.Rand // Poisson arrival stream, reseeded per run
 }
 
-// costKey identifies a cached cost model. The profile is compared by
-// interface identity, which is why Runner pins one Positioner instance per
-// profile name; a fresh instance per run would never hit.
+// costKey identifies a cached cost model. prof holds the profile's value,
+// not its pointer, so distinct instances of one drive model share a table.
 type costKey struct {
-	prof      tapemodel.Positioner
+	prof      any
 	blockMB   float64
 	maxBlocks int
 }
@@ -49,8 +49,7 @@ type costKey struct {
 // NewSession creates an empty session.
 func NewSession() *Session { return &Session{} }
 
-// Run executes one simulation like the package-level Run, reusing the
-// session's caches and scratch.
+// Run executes one simulation, reusing the session's caches and scratch.
 func (s *Session) Run(cfg Config) (*Result, error) {
 	e, err := newEngine(cfg, s)
 	if err != nil {
@@ -78,46 +77,35 @@ func (s *Session) cachedLayout(key layout.Config) (*layout.Layout, error) {
 }
 
 // cachedCosts returns a cost model with its dense table enabled, cached by
-// (profile, block size, table size). Profiles of unknown dynamic type are
-// not cached: the key compares with ==, which would panic on an
-// uncomparable Positioner implementation.
+// (profile value, block size, table size). The cached model keeps a private
+// copy of the profile, so a caller mutating its own instance later cannot
+// change a table that the key no longer describes. Profiles of other
+// dynamic types are not cached: their values need not be comparable.
 func (s *Session) cachedCosts(prof tapemodel.Positioner, blockMB float64, maxBlocks int) *sched.CostModel {
-	cacheable := false
-	switch prof.(type) {
-	case *tapemodel.Profile, *tapemodel.Serpentine:
-		cacheable = true
+	key := costKey{blockMB: blockMB, maxBlocks: maxBlocks}
+	switch p := prof.(type) {
+	case *tapemodel.Profile:
+		cp := *p
+		key.prof, prof = cp, &cp
+	case *tapemodel.Serpentine:
+		cp := *p
+		key.prof, prof = cp, &cp
+	default:
+		return newCostModel(prof, blockMB, maxBlocks)
 	}
-	if cacheable {
-		key := costKey{prof, blockMB, maxBlocks}
-		if s.costs != nil && s.costKey == key {
-			return s.costs
-		}
-		costs := newCostModel(prof, blockMB, maxBlocks)
-		s.costs, s.costKey = costs, key
-		return costs
+	if s.costs == nil || s.costKey != key {
+		s.costs, s.costKey = newCostModel(prof, blockMB, maxBlocks), key
 	}
-	return newCostModel(prof, blockMB, maxBlocks)
+	return s.costs
 }
 
 // genRng returns the session's recycled workload generator stream,
 // reseeded in place -- Rand.Seed(s) reproduces exactly the stream of
-// rand.New(rand.NewSource(s)), so reuse cannot change results. Nil-safe: a
-// nil session returns a fresh generator, which is what the one-shot Run
-// path uses.
-func (s *Session) genRng(seed int64) *rand.Rand {
-	if s == nil {
-		return rand.New(rand.NewSource(seed))
-	}
-	return reseed(&s.genRand, seed)
-}
+// rand.New(rand.NewSource(s)), so reuse cannot change results.
+func (s *Session) genRng(seed int64) *rand.Rand { return reseed(&s.genRand, seed) }
 
 // arrRng is genRng for the Poisson arrival stream.
-func (s *Session) arrRng(seed int64) *rand.Rand {
-	if s == nil {
-		return rand.New(rand.NewSource(seed))
-	}
-	return reseed(&s.arrRand, seed)
-}
+func (s *Session) arrRng(seed int64) *rand.Rand { return reseed(&s.arrRand, seed) }
 
 func reseed(slot **rand.Rand, seed int64) *rand.Rand {
 	if *slot == nil {
@@ -135,9 +123,6 @@ func reseed(slot **rand.Rand, seed int64) *rand.Rand {
 // the pending list would risk double-freeing; their runs just let the
 // stragglers go to the garbage collector.
 func (s *Session) reclaim(e *engine) {
-	if e == nil {
-		return
-	}
 	free := e.reqFree
 	if e.flt == nil && e.ovl == nil {
 		for i, r := range e.sh.Pending {

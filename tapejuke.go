@@ -208,19 +208,14 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Run simulates the configuration and returns its metrics.
-func Run(c Config) (*Result, error) {
-	sc, err := c.toSim()
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(*sc)
-}
+// Run simulates the configuration and returns its metrics. It is a run on
+// a fresh Runner; keep one Runner to reuse its caches across many runs.
+func Run(c Config) (*Result, error) { return NewRunner().Run(c) }
 
 // toSim translates the public configuration into the internal one,
 // instantiating the profile, layout kind, and scheduler.
 func (c Config) toSim() (*sim.Config, error) {
-	prof := tapemodel.PositionerByName(driveName(c.DriveProfile))
+	prof := tapemodel.PositionerByName(c.DriveProfile)
 	if prof == nil {
 		return nil, fmt.Errorf("tapejuke: unknown drive profile %q", c.DriveProfile)
 	}
@@ -288,6 +283,25 @@ func (c Config) toSim() (*sim.Config, error) {
 	return sc, nil
 }
 
+// buildLayout builds the data layout a run of c simulates, resolved the
+// way the simulator resolves it, and returns it with the translated
+// configuration and the per-tape data capacity in blocks.
+func (c Config) buildLayout() (*sim.Config, *layout.Layout, int, error) {
+	sc, err := c.toSim()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	layCfg, capBlocks, err := sc.LayoutConfig()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	lay, err := layout.Build(layCfg)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("tapejuke: %w", err)
+	}
+	return sc, lay, capBlocks, nil
+}
+
 // ExpansionFactor returns E = 1 + NR*PH/100, the storage growth caused by
 // the configuration's replication (Figure 10a).
 func (c Config) ExpansionFactor() float64 {
@@ -315,17 +329,9 @@ func ScaledQueueLength(base int, expansion float64) (int, error) {
 // rate in KB/s, the denominator of the "fraction of streaming" figure of
 // merit.
 func StreamingRateKBps(profile string) (float64, error) {
-	p := tapemodel.PositionerByName(driveName(profile))
+	p := tapemodel.PositionerByName(profile)
 	if p == nil {
 		return 0, fmt.Errorf("tapejuke: unknown drive profile %q", profile)
 	}
 	return p.StreamingRateMBps() * 1024, nil
-}
-
-// driveName maps the empty string to the default drive.
-func driveName(name string) string {
-	if name == "" {
-		return "exb8505xl"
-	}
-	return name
 }
