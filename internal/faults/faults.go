@@ -331,9 +331,6 @@ func poisson(rng *rand.Rand, mean float64) int {
 
 func packCopy(tape, pos int) int64 { return int64(tape)<<32 | int64(uint32(pos)) }
 
-// Config returns the (defaulted) configuration the injector runs.
-func (i *Injector) Config() Config { return i.cfg }
-
 // Retry returns the (defaulted) retry policy.
 func (i *Injector) Retry() RetryPolicy { return i.retry }
 
