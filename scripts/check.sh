@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
-# Pre-merge gate: vet, build, and race-test the internal packages, then
-# the full test suite, then vet and test the benchmark module. Run before
-# every merge (see README).
+# Pre-merge gate: gofmt, vet, build, and race-test the internal packages,
+# then the full test suite, then vet and test the benchmark module. Run
+# before every merge (see README).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== gofmt -l ."
+out=$(gofmt -l .)
+if [ -n "$out" ]; then
+	echo "gofmt needed on:" >&2
+	echo "$out" >&2
+	exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
